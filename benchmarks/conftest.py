@@ -43,6 +43,30 @@ def _bench_dir() -> str:
     return os.environ.get("REPRO_BENCH_DIR", default)
 
 
+def record(bench_file: str, tier: str, payload) -> str:
+    """Merge one tier's payload into ``bench_file`` in the bench dir.
+
+    Returns the file's path. Recording is best-effort: a read-only
+    checkout skips the write but still returns the path.
+    """
+    path = os.path.join(_bench_dir(), bench_file)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            doc = {}
+    except (OSError, json.JSONDecodeError):
+        doc = {}
+    doc[tier] = payload
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+    except OSError:
+        pass
+    return path
+
+
 def _manifests_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_MANIFEST", "1") != "0"
 

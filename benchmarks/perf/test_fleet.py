@@ -15,11 +15,10 @@ artifact dir (``REPRO_BENCH_DIR``, default ``benchmarks/.artifacts``).
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
-from conftest import report
+from conftest import record, report
 
 from repro.fleet import run_fleet_bench
 
@@ -39,33 +38,6 @@ REFERENCE_PARAMS = {
 }
 
 
-def _bench_dir() -> str:
-    default = os.path.join(
-        os.path.dirname(os.path.dirname(__file__)), ".artifacts"
-    )
-    return os.environ.get("REPRO_BENCH_DIR", default)
-
-
-def _record(tier: str, payload) -> str:
-    """Merge one tier's payload into BENCH_fleet.json."""
-    path = os.path.join(_bench_dir(), "BENCH_fleet.json")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            doc = {}
-    except (OSError, json.JSONDecodeError):
-        doc = {}
-    doc[tier] = payload
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-    except OSError:
-        pass  # read-only checkout: recording is best-effort
-    return path
-
-
 def _check(tier: str, params, budget_s: float) -> None:
     payload = run_fleet_bench(dict(params), seed=7)
     report(
@@ -81,7 +53,7 @@ def _check(tier: str, params, budget_s: float) -> None:
             f"wall             {payload['wall_s'] * 1e3:9.1f} ms"
             f" (budget {budget_s:.0f} s)",
             f"throughput       {payload['arrivals_per_sec']:9.1f} arrivals/s",
-            f"recorded in      {_record(tier, payload)}",
+            f"recorded in      {record('BENCH_fleet.json', tier, payload)}",
         ],
     )
     assert payload["arrivals"] == params["arrivals"]

@@ -25,11 +25,10 @@ Both tiers also assert:
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
-from conftest import report
+from conftest import record, report
 
 from repro.routing.routebench import run_routing_bench
 
@@ -45,33 +44,6 @@ REFERENCE_PARAMS = {
     "segments": 15, "hosts_per_segment": 8, "aggs_per_plane": 8,
     "conns": 2, "steps": 20, "flap_every": 5, "campaign_cases": 50,
 }
-
-
-def _bench_dir() -> str:
-    default = os.path.join(
-        os.path.dirname(os.path.dirname(__file__)), ".artifacts"
-    )
-    return os.environ.get("REPRO_BENCH_DIR", default)
-
-
-def _record(tier: str, payload) -> str:
-    """Merge one tier's payload into BENCH_routing.json."""
-    path = os.path.join(_bench_dir(), "BENCH_routing.json")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            doc = {}
-    except (OSError, json.JSONDecodeError):
-        doc = {}
-    doc[tier] = payload
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-    except OSError:
-        pass  # read-only checkout: recording is best-effort
-    return path
 
 
 def _check(tier: str, payload, min_flows: int) -> None:
@@ -90,7 +62,7 @@ def _check(tier: str, payload, min_flows: int) -> None:
             f" (fib compiles {cache['fib_compiles']})",
             f"campaign         {payload['campaign']['checked']} queries,"
             f" {payload['campaign']['mismatch_count']} mismatches",
-            f"recorded in      {_record(tier, payload)}",
+            f"recorded in      {record('BENCH_routing.json', tier, payload)}",
         ],
     )
     assert payload["flows"] >= min_flows

@@ -19,11 +19,10 @@ the speedup / hit-rate gates hold.
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
-from conftest import report
+from conftest import record, report
 
 from repro.serve.bench import run_serve_bench
 
@@ -49,33 +48,6 @@ REFERENCE_PARAMS = {
 }
 
 
-def _bench_dir() -> str:
-    default = os.path.join(
-        os.path.dirname(os.path.dirname(__file__)), ".artifacts"
-    )
-    return os.environ.get("REPRO_BENCH_DIR", default)
-
-
-def _record(tier: str, payload) -> str:
-    """Merge one tier's payload into BENCH_serve.json."""
-    path = os.path.join(_bench_dir(), "BENCH_serve.json")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            doc = {}
-    except (OSError, json.JSONDecodeError):
-        doc = {}
-    doc[tier] = payload
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-    except OSError:
-        pass  # read-only checkout: recording is best-effort
-    return path
-
-
 def _check(tier: str, payload) -> None:
     cache = payload["cache"]
     kinds = " ".join(
@@ -98,7 +70,7 @@ def _check(tier: str, payload) -> None:
             f"cache hit rate   {cache['hit_rate']:9.1%}"
             f" ({cache['hits']} hits / {cache['misses']} misses,"
             f" gate >= {MIN_HIT_RATE:.0%})",
-            f"recorded in      {_record(tier, payload)}",
+            f"recorded in      {record('BENCH_serve.json', tier, payload)}",
         ],
     )
     eq = payload["equivalence"]

@@ -1,12 +1,9 @@
 """Fluid flow-level fabric simulator, queue model and telemetry."""
 
-from ._np import HAVE_NUMPY
 from .flow import Flow
 from .incidence import IncidenceIndex
-from .kernel import ComponentSnapshot, build_snapshot, waterfill
 from .queues import QueueTracker
 from .replay import IterationReplay, NicSeries
-from .sharded import ShardedSolver
 from .simulator import FluidSimulator, SimResult, max_min_rates, run_flows
 from .solver import (
     EquivalenceReport,
@@ -14,7 +11,6 @@ from .solver import (
     SolveOutcome,
     SolverEquivalence,
     SolverStats,
-    VectorizedMaxMinSolver,
 )
 from .telemetry import (
     agg_ingress_gbps,
@@ -28,9 +24,7 @@ from .telemetry import (
 )
 
 __all__ = [
-    "ComponentSnapshot",
     "EquivalenceReport",
-    "HAVE_NUMPY",
     "IncidenceIndex",
     "IncrementalMaxMinSolver",
     "IterationReplay",
@@ -38,15 +32,11 @@ __all__ = [
     "Flow",
     "FluidSimulator",
     "QueueTracker",
-    "ShardedSolver",
     "SimResult",
     "SolveOutcome",
     "SolverEquivalence",
     "SolverStats",
-    "VectorizedMaxMinSolver",
     "agg_ingress_gbps",
-    "build_snapshot",
-    "waterfill",
     "dirlink_loads",
     "imbalance_ratio",
     "jain_fairness",

@@ -40,21 +40,10 @@ class IncidenceIndex:
     The index never forgets a link (dense ids stay valid for the life
     of the simulator); links whose flows all finished simply carry
     weight 0.
-
-    Two monotonic epochs stamp every observable mutation so flat-array
-    snapshots (:class:`repro.fabric.kernel.ComponentSnapshot`) held by
-    solver shards can detect staleness without diffing arrays:
-
-    * ``capacity_epoch`` -- bumped when :meth:`refresh_capacities`
-      observes any change (out-of-band ``transient_state()`` capacity
-      edits land here at the next sweep) and when a new link registers;
-    * ``membership_epoch`` -- bumped on every flow :meth:`add` /
-      :meth:`remove`.
     """
 
     __slots__ = ("dense_of", "dirlinks", "cap", "weight", "link_flows",
-                 "flow_links", "flows", "capacity_epoch",
-                 "membership_epoch")
+                 "flow_links", "flows")
 
     def __init__(self) -> None:
         self.dense_of: Dict[int, int] = {}
@@ -64,8 +53,6 @@ class IncidenceIndex:
         self.link_flows: List[Dict[int, int]] = []
         self.flow_links: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         self.flows: Dict[int, Flow] = {}
-        self.capacity_epoch = 0
-        self.membership_epoch = 0
 
     def __len__(self) -> int:
         return len(self.flows)
@@ -85,7 +72,6 @@ class IncidenceIndex:
             self.cap.append(link_gbps(dirlink))
             self.weight.append(0)
             self.link_flows.append({})
-            self.capacity_epoch += 1
         return dense
 
     def add(self, flow: Flow, link_gbps: Callable[[int], float]) -> None:
@@ -99,7 +85,6 @@ class IncidenceIndex:
         )
         self.flows[fid] = flow
         self.flow_links[fid] = dense_links
-        self.membership_epoch += 1
         weight = self.weight
         link_flows = self.link_flows
         for dense, mult in dense_links:
@@ -111,7 +96,6 @@ class IncidenceIndex:
         fid = flow.flow_id
         dense_links = self.flow_links.pop(fid)
         del self.flows[fid]
-        self.membership_epoch += 1
         weight = self.weight
         link_flows = self.link_flows
         for dense, mult in dense_links:
@@ -140,8 +124,6 @@ class IncidenceIndex:
             if now_gbps != cap[dense]:  # repro: noqa[LINT001]
                 cap[dense] = now_gbps
                 changed.append(dense)
-        if changed:
-            self.capacity_epoch += 1
         return changed
 
     # ------------------------------------------------------------------
@@ -202,10 +184,10 @@ class IncidenceIndex:
         """Partition the seeds into *disjoint* connected components.
 
         Unlike :meth:`component` (one merged walk from all seeds), the
-        result keeps independent components separate -- the shard unit
-        of the sharded solver. Components are ordered by their smallest
-        flow id, deterministically; seed links whose flows all finished
-        (weight 0) yield no component.
+        result keeps independent components separate -- the unit the
+        pod benchmark's per-component oracle check solves. Components
+        are ordered by their smallest flow id, deterministically; seed
+        links whose flows all finished (weight 0) yield no component.
         """
         flows = self.flows
         flow_links = self.flow_links

@@ -14,13 +14,14 @@ suite) measure the one hot path every figure funnels through:
   full Pod (15 segments x 128 hosts x 8 rails = 15,360 GPUs, §6), a
   pod-wide inter-segment AllReduce ring per rail (every edge crosses
   the dual-plane aggregation layer), an access-link failure/repair
-  inside the measured window. Gates the vectorized kernel against the
-  incremental baseline (CI requires >=3x) and the committed rates
-  against the legacy oracle per connected component (<=1e-9 drift).
+  inside the measured window. Gates the heap-driven fill against the
+  list-scan reference fill (:func:`list_scan_fill`; CI requires >=3x
+  and byte-identical results) and the committed rates against the
+  legacy oracle per connected component (<=1e-9 drift).
 * **multipod** (:func:`run_pod_tier`) -- the §7 shape: a 3-Pod
   pipeline-parallel job (whole stages per pod, PP activations crossing
   the oversubscribed core) with per-pod data-parallel rings, run to
-  completion under all three incremental engines.
+  completion under both fills.
 
 Every comparison runs the *same* flow objects (reset in between); the
 payloads are JSON-safe and land in ``BENCH_simcore.json``.
@@ -30,10 +31,13 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Dict, List, Optional, Tuple
+import types
+from array import array
+from typing import Any, Dict, FrozenSet, List, Set, Tuple
 
 from .flow import Flow
 from .simulator import FluidSimulator, max_min_rates
+from .solver import _EPS
 
 #: relative finish-time drift beyond which the engines "disagree"
 EQUIVALENCE_TOL = 1e-9
@@ -177,7 +181,115 @@ def run_simcore(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 
 # ======================================================================
-# pod / multipod tiers: vectorized + sharded engines at paper scale
+# list-scan reference fill: the pod tier's speed baseline
+# ======================================================================
+def list_scan_fill(self, flow_ids: FrozenSet[int]) -> int:
+    """The pre-heap progressive fill, kept as the pod tier's baseline.
+
+    Same canonical order as :meth:`IncrementalMaxMinSolver._fill`
+    (bottleneck = smallest share, ties to the smallest dense id;
+    flow-major debits in ascending flow id), but each iteration rescans
+    every active link three times: the argmin, the drained list and
+    the set rebuild. Never selectable through :class:`FluidSimulator`;
+    :func:`use_list_scan` installs it on one simulator's solver.
+    """
+    idx = self.index
+    flow_links = idx.flow_links
+    link_flows = idx.link_flows
+    rates = self.rates
+    # scratch vectors: C-speed copies of the persistent arrays
+    residual = array("d", idx.cap)
+    unfixed = array("q", idx.weight)
+    fixed: Set[int] = set()
+
+    # dead-link pass, per-flow-first-fix: each flow crossing any
+    # dead link is zeroed once and debited along its own links by
+    # its own occurrence counts (never once per dead link crossed)
+    participating: Set[int] = set()
+    for fid in sorted(flow_ids):
+        links = flow_links[fid]
+        dead = False
+        for dense, _mult in links:
+            participating.add(dense)
+            if residual[dense] <= _EPS:
+                dead = True
+        if dead:
+            rates[fid] = 0.0
+            fixed.add(fid)
+            for dense, mult in links:
+                unfixed[dense] -= mult
+
+    active = {
+        dense for dense in participating
+        if unfixed[dense] > 0 and residual[dense] > _EPS
+    }
+    on_bottleneck = self.on_bottleneck
+    dirlinks = idx.dirlinks
+    iterations = 0
+    while active:
+        # bottleneck: the link offering the smallest fair share
+        # (ties -> smallest dense id, as in the heap fill)
+        share = float("inf")
+        bottleneck = -1
+        for dense in active:
+            s = residual[dense] / unfixed[dense]
+            if s < share or (s == share and dense < bottleneck):
+                share = s
+                bottleneck = dense
+        newly = sorted(
+            fid for fid in link_flows[bottleneck] if fid not in fixed
+        )
+        iterations += 1
+        if on_bottleneck is not None:
+            on_bottleneck(dirlinks[bottleneck], share, len(newly))
+        if not newly:
+            # only drained-to-zero flows remain on this link: it
+            # can make no further progress -- retire it (liveness
+            # guard, mirrored exactly in the heap fill)
+            active.discard(bottleneck)
+            continue
+        for fid in newly:
+            rates[fid] = share
+            fixed.add(fid)
+            for dense, mult in flow_links[fid]:
+                residual[dense] -= share * mult
+                unfixed[dense] -= mult
+        drained = [
+            dense for dense in active
+            if unfixed[dense] <= 0 or residual[dense] <= _EPS
+        ]
+        for dense in drained:
+            if unfixed[dense] > 0:
+                # capacity exhausted with flows still unfixed: they
+                # get ~0 (mirrors the oracle: no further debits)
+                for fid in link_flows[dense]:
+                    if fid not in fixed:
+                        rates[fid] = 0.0
+                        fixed.add(fid)
+            active.discard(dense)
+        active = {
+            dense for dense in active
+            if unfixed[dense] > 0 and residual[dense] > _EPS
+        }
+    # flows never constrained by any link (e.g. empty paths) match
+    # the oracle's terminal setdefault: rate 0
+    for fid in flow_ids:
+        if fid not in fixed:
+            rates[fid] = 0.0
+    return iterations
+
+
+def use_list_scan(sim: FluidSimulator) -> FluidSimulator:
+    """Swap ``sim``'s heap fill for :func:`list_scan_fill`; returns it."""
+    solver = sim._solver
+    solver._fill = types.MethodType(  # type: ignore[method-assign,union-attr]
+        list_scan_fill, solver
+    )
+    return sim
+
+
+# ======================================================================
+# pod / multipod tiers: the heap fill at paper scale
 # ======================================================================
 #: per-tier workload defaults (every key overridable via params)
 POD_DEFAULTS: Dict[str, Any] = {
@@ -335,18 +447,22 @@ def build_multipod_workload(
 
 
 def _timed_tier_run(
-    topo, flows: List[Flow], events, mode: str, window_s: float,
+    topo, flows: List[Flow], events, fill: str, window_s: float,
 ) -> Tuple[float, Dict[int, float], Dict[int, float], FluidSimulator]:
-    """One engine pass; returns (wall, finishes, final rates, sim).
+    """One incremental-engine pass; returns (wall, finishes, rates, sim).
 
-    ``window_s > 0`` bounds simulated time (the pod tier measures a
-    fixed window of the collective rather than running 15k completions
-    under the slow baseline); 0 runs to completion. The caller resets
-    flows and restores link states between engines -- restoring here
-    would desynchronize the topology from the committed rates any
-    oracle check reads.
+    ``fill`` is ``"heap"`` (the engine as shipped) or ``"list-scan"``
+    (:func:`list_scan_fill` installed). ``window_s > 0`` bounds
+    simulated time (the pod tier measures a fixed window of the
+    collective rather than running 15k completions under the slow
+    baseline); 0 runs to completion. The caller resets flows and
+    restores link states between passes -- restoring here would
+    desynchronize the topology from the committed rates any oracle
+    check reads.
     """
-    sim = FluidSimulator(topo, solver=mode)
+    sim = FluidSimulator(topo)
+    if fill == "list-scan":
+        use_list_scan(sim)
     t0 = time.perf_counter()
     sim.add_flows(flows)
     for t, lid, up in events:
@@ -391,14 +507,13 @@ def _oracle_component_drift(sim: FluidSimulator) -> Dict[str, Any]:
 def run_pod_tier(
     params: Dict[str, Any], seed: int, tier: str = "pod"
 ) -> Dict[str, Any]:
-    """Pod / multipod benchmark: incremental vs vectorized vs sharded.
+    """Pod / multipod benchmark: heap fill vs the list-scan reference.
 
-    The incremental engine (PR 4's per-flow Python fill) is the
-    baseline; the CI gate requires the vectorized kernel >=3x on the
-    ``pod`` tier and <=1e-9 max committed-rate drift vs. the legacy
-    oracle. The sharded engine runs serially here (wall reported for
-    comparison) -- its process backend is covered byte-for-byte by the
-    equivalence campaign, where pool startup is not being timed.
+    Both passes run the incremental engine over the same flows; only
+    the progressive fill differs. The list-scan pass is the baseline:
+    the heap pass must match it byte-for-byte (finishes and final
+    committed rates) and, on the ``pod`` tier, beat it >=3x; its
+    committed rates must sit within 1e-9 of the legacy oracle.
     """
     if tier not in ("pod", "multipod"):
         raise ValueError(f"unknown simcore tier {tier!r}")
@@ -414,35 +529,33 @@ def run_pod_tier(
         for lid, up in initial_up.items():
             topo.set_link_state(lid, up)
 
-    def measure(mode: str, until: float = window_s):
+    def measure(fill: str, until: float = window_s):
         for f in flows:
             f.reset()
-        return _timed_tier_run(topo, flows, events, mode, until)
+        return _timed_tier_run(topo, flows, events, fill, until)
 
-    inc_wall, inc_finish, inc_rates, _ = measure("incremental")
+    ref_wall, ref_finish, ref_rates, ref_sim = measure("list-scan")
     restore()
-    vec_wall, vec_finish, vec_rates, vec_sim = measure("vectorized")
-    # oracle drift against the vectorized engine's committed rates --
-    # read *before* restoring links, at the window boundary when one
-    # is set, else at a mid-failure probe (completion runs end with
+    heap_wall, heap_finish, heap_rates, heap_sim = measure("heap")
+    # oracle drift against the heap engine's committed rates -- read
+    # *before* restoring links, at the window boundary when one is
+    # set, else at a mid-failure probe (completion runs end with
     # nothing active to check)
     if window_s > 0:
-        oracle = _oracle_component_drift(vec_sim)
+        oracle = _oracle_component_drift(heap_sim)
         restore()
     else:
         restore()
         probe_s = (float(p["fail_at_s"]) + float(p["repair_at_s"])) / 2.0
-        _pw, _pf, _pr, probe_sim = measure("vectorized", until=probe_s)
+        _pw, _pf, _pr, probe_sim = measure("heap", until=probe_s)
         oracle = _oracle_component_drift(probe_sim)
         restore()
-    shard_wall, _sh_finish, sh_rates, shard_sim = measure("sharded")
-    restore()
 
     # equivalence: byte-compare finishes AND final committed rates
     mism = 0
     max_err = 0.0
-    for fid in set(inc_finish) | set(vec_finish):
-        a, b = inc_finish.get(fid), vec_finish.get(fid)
+    for fid in set(ref_finish) | set(heap_finish):
+        a, b = ref_finish.get(fid), heap_finish.get(fid)
         if (a is None) != (b is None):
             mism += 1
             continue
@@ -450,36 +563,32 @@ def run_pod_tier(
             err = abs(a - b) / max(1.0, abs(a))
             max_err = max(max_err, err)
     rate_err = 0.0
-    for fid in set(inc_rates) | set(vec_rates) | set(sh_rates):
-        a = inc_rates.get(fid)
-        b = vec_rates.get(fid)
-        c = sh_rates.get(fid)
-        if a is None or b is None or c is None:
+    for fid in set(ref_rates) | set(heap_rates):
+        a = ref_rates.get(fid)
+        b = heap_rates.get(fid)
+        if a is None or b is None:
             mism += 1
             continue
-        rate_err = max(rate_err, abs(a - b), abs(a - c))
+        rate_err = max(rate_err, abs(a - b))
 
-    stats = vec_sim._solver.stats
-    sstats = shard_sim._solver.stats
+    stats = heap_sim._solver.stats
+    iters_match = stats.kernel_iters == ref_sim._solver.stats.kernel_iters
     payload: Dict[str, Any] = {
         "tier": tier,
         "workload": dict(meta, seed=seed, **{
             k: p[k] for k in sorted(p)
         }),
         "flows": len(flows),
-        "incremental_wall_s": inc_wall,
-        "vectorized_wall_s": vec_wall,
-        "sharded_wall_s": shard_wall,
-        "speedup": inc_wall / vec_wall if vec_wall > 0 else float("inf"),
-        "sharded_speedup": (
-            inc_wall / shard_wall if shard_wall > 0 else float("inf")
-        ),
+        "list_scan_wall_s": ref_wall,
+        "heap_wall_s": heap_wall,
+        "speedup": ref_wall / heap_wall if heap_wall > 0 else float("inf"),
         "equivalence": {
             "max_finish_rel_err": max_err,
             "max_rate_err_gbps": rate_err,
             "one_sided_finishes": mism,
+            "kernel_iters_match": iters_match,
             "tol": EQUIVALENCE_TOL,
-            "ok": (mism == 0 and max_err <= EQUIVALENCE_TOL
+            "ok": (mism == 0 and iters_match and max_err <= EQUIVALENCE_TOL
                    and rate_err <= EQUIVALENCE_TOL),
         },
         "oracle": oracle,
@@ -489,11 +598,6 @@ def run_pod_tier(
             "noop_solves": stats.noop_solves,
             "mean_dirty_frac": stats.mean_dirty_frac,
             "kernel_iters": stats.kernel_iters,
-        },
-        "shards": {
-            "shard_solves": sstats.shard_solves,
-            "kernel_iters": sstats.kernel_iters,
-            "mean_dirty_frac": sstats.mean_dirty_frac,
         },
     }
     return payload

@@ -160,27 +160,19 @@ class FluidSimulator:
     """Event-driven fluid simulator over one topology.
 
     ``solver`` selects the rate engine: ``"incremental"`` (default,
-    dirty-set re-solve over a persistent incidence index), ``"full"``
-    (the original per-boundary from-scratch solve, kept as oracle and
-    perf baseline), ``"vectorized"`` (the incremental machinery with
-    the flat-array waterfill kernel of :mod:`repro.fabric.kernel` --
-    numpy when available, byte-identical pure-Python twin otherwise),
-    or ``"sharded"`` (dirty components solved as independent shards;
-    ``shard_backend="process"`` dispatches them through the engine
-    Runner's process pool with ``shard_workers`` workers). All four
-    engines produce byte-identical rates -- see docs/simulator.md,
-    "Solver engines". ``full_solve_threshold`` tunes the incremental
-    engines' fallback: when an event's dirty component exceeds this
-    fraction of active flows, one full solve is cheaper than component
-    BFS + fill.
+    dirty-set re-solve over a persistent incidence index with a
+    heap-driven progressive fill) or ``"full"`` (the original
+    per-boundary from-scratch solve, kept as oracle and perf baseline)
+    -- see docs/simulator.md, "Solver engines".
+    ``full_solve_threshold`` tunes the incremental engine's fallback:
+    when an event's dirty component exceeds this fraction of active
+    flows, one full solve is cheaper than component BFS + fill.
     """
 
     def __init__(self, topo: Topology, sample_links: bool = False,
                  recorder=None, solver: str = "incremental",
-                 full_solve_threshold: float = 0.5,
-                 shard_backend: str = "serial",
-                 shard_workers: Optional[int] = None):
-        if solver not in ("incremental", "full", "vectorized", "sharded"):
+                 full_solve_threshold: float = 0.5):
+        if solver not in ("incremental", "full"):
             raise ValueError(f"unknown solver engine {solver!r}")
         self.topo = topo
         self.sample_links = sample_links
@@ -214,37 +206,17 @@ class FluidSimulator:
             self._m_finished = m.counter("sim.flows_finished")
             self._m_rate_changes = m.counter("sim.rate_changes")
             self._m_kernel_iters = m.counter("sim.kernel_iters")
-            self._m_shard_count = m.counter("sim.shard_count")
             self._tier_label: Dict[int, str] = {}
         self._solver: Optional[IncrementalMaxMinSolver] = None
-        if solver != "full":
-            hook = (
-                self._record_bottleneck if self._rec is not None else None
+        if solver == "incremental":
+            self._solver = IncrementalMaxMinSolver(
+                self.link_gbps,
+                full_threshold=full_solve_threshold,
+                on_bottleneck=(
+                    self._record_bottleneck if self._rec is not None
+                    else None
+                ),
             )
-            if solver == "incremental":
-                self._solver = IncrementalMaxMinSolver(
-                    self.link_gbps,
-                    full_threshold=full_solve_threshold,
-                    on_bottleneck=hook,
-                )
-            elif solver == "vectorized":
-                from .solver import VectorizedMaxMinSolver
-
-                self._solver = VectorizedMaxMinSolver(
-                    self.link_gbps,
-                    full_threshold=full_solve_threshold,
-                    on_bottleneck=hook,
-                )
-            else:
-                from .sharded import ShardedSolver
-
-                self._solver = ShardedSolver(
-                    self.link_gbps,
-                    full_threshold=full_solve_threshold,
-                    on_bottleneck=hook,
-                    backend=shard_backend,
-                    max_workers=shard_workers,
-                )
         #: (predicted finish time, flow heap epoch, flow id) entries;
         #: stale entries (epoch mismatch / flow gone) are discarded
         #: lazily on peek -- no O(active) completion scans
@@ -379,8 +351,6 @@ class FluidSimulator:
             self._m_solves.inc()
             if outcome.kernel_iters:
                 self._m_kernel_iters.inc(outcome.kernel_iters)
-            if outcome.shards:
-                self._m_shard_count.inc(outcome.shards)
             if outcome.mode == "full":
                 self._m_full_solves.inc()
                 self._m_dirty_frac.observe(1.0)

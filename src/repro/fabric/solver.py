@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import (
     Callable,
     Dict,
@@ -52,10 +53,8 @@ class SolverStats:
     #: flows re-solved, summed over boundaries (vs. flows active)
     resolved_flows: int = 0
     active_flow_boundaries: int = 0
-    #: progressive-filling iterations, summed over fills/shards
+    #: progressive-filling iterations, summed over fills
     kernel_iters: int = 0
-    #: component shards dispatched (sharded engine; 0 otherwise)
-    shard_solves: int = 0
 
     @property
     def solves(self) -> int:
@@ -79,10 +78,8 @@ class SolveOutcome:
     touched: FrozenSet[int]
     #: |touched| / |active| for this boundary (0.0 on noop)
     dirty_frac: float
-    #: progressive-filling iterations this solve ran (all shards)
+    #: progressive-filling iterations this solve ran
     kernel_iters: int = 0
-    #: component shards this solve dispatched (sharded engine only)
-    shards: int = 0
 
 
 _NOOP = SolveOutcome("noop", frozenset(), 0.0)
@@ -179,12 +176,15 @@ class IncrementalMaxMinSolver:
         participating link is in ``flow_ids`` (BFS closure), so link
         capacities need no adjustment for frozen outside flows.
 
-        The fill follows the **canonical order** the vectorized and
-        sharded engines reproduce bit-for-bit (see
-        :mod:`repro.fabric.kernel`): flows enumerate ascending by flow
-        id, bottleneck ties break to the smallest dense link id, newly
-        fixed flows debit flow-major in ascending-id order with each
-        flow's links in path order. Returns the iteration count.
+        The fill follows the **canonical order**: the bottleneck is
+        the live link with the smallest fair share, ties to the
+        smallest dense link id; newly fixed flows debit in ascending
+        flow-id order, each along its links in path order. Live links
+        sit in a lazy-invalidation heap keyed ``(share, dense)``: a
+        popped entry counts only if its link is still live and its
+        share still equals ``residual / unfixed``. After each fix only
+        the links the fixed flows cross are re-checked and re-pushed.
+        Returns the iteration count.
         """
         idx = self.index
         flow_links = idx.flow_links
@@ -212,23 +212,21 @@ class IncrementalMaxMinSolver:
                 for dense, mult in links:
                     unfixed[dense] -= mult
 
-        active = {
-            dense for dense in participating
-            if unfixed[dense] > 0 and residual[dense] > _EPS
-        }
+        live = bytearray(len(residual))
+        heap: List[Tuple[float, int]] = []
+        for dense in participating:
+            if unfixed[dense] > 0 and residual[dense] > _EPS:
+                live[dense] = 1
+                heap.append((residual[dense] / unfixed[dense], dense))
+        heapify(heap)
         on_bottleneck = self.on_bottleneck
         dirlinks = idx.dirlinks
         iterations = 0
-        while active:
-            # bottleneck: the link offering the smallest fair share
-            # (ties -> smallest dense id, matching the kernels)
-            share = float("inf")
-            bottleneck = -1
-            for dense in active:
-                s = residual[dense] / unfixed[dense]
-                if s < share or (s == share and dense < bottleneck):
-                    share = s
-                    bottleneck = dense
+        while heap:
+            share, bottleneck = heappop(heap)
+            if (not live[bottleneck]
+                    or share != residual[bottleneck] / unfixed[bottleneck]):
+                continue  # stale entry: the link moved on or retired
             newly = sorted(
                 fid for fid in link_flows[bottleneck] if fid not in fixed
             )
@@ -238,20 +236,24 @@ class IncrementalMaxMinSolver:
             if not newly:
                 # only drained-to-zero flows remain on this link: it
                 # can make no further progress -- retire it (liveness
-                # guard, mirrored exactly in the kernels)
-                active.discard(bottleneck)
+                # guard)
+                live[bottleneck] = 0
                 continue
+            touched: Set[int] = set()
             for fid in newly:
                 rates[fid] = share
                 fixed.add(fid)
                 for dense, mult in flow_links[fid]:
                     residual[dense] -= share * mult
                     unfixed[dense] -= mult
-            drained = [
-                dense for dense in active
-                if unfixed[dense] <= 0 or residual[dense] <= _EPS
-            ]
-            for dense in drained:
+                    touched.add(dense)
+            for dense in touched:
+                if not live[dense]:
+                    continue
+                if unfixed[dense] > 0 and residual[dense] > _EPS:
+                    heappush(heap, (residual[dense] / unfixed[dense], dense))
+                    continue
+                live[dense] = 0
                 if unfixed[dense] > 0:
                     # capacity exhausted with flows still unfixed: they
                     # get ~0 (mirrors the oracle: no further debits)
@@ -259,40 +261,11 @@ class IncrementalMaxMinSolver:
                         if fid not in fixed:
                             rates[fid] = 0.0
                             fixed.add(fid)
-                active.discard(dense)
-            active = {
-                dense for dense in active
-                if unfixed[dense] > 0 and residual[dense] > _EPS
-            }
         # flows never constrained by any link (e.g. empty paths) match
         # the oracle's terminal setdefault: rate 0
         for fid in flow_ids:
             if fid not in fixed:
                 rates[fid] = 0.0
-        return iterations
-
-
-class VectorizedMaxMinSolver(IncrementalMaxMinSolver):
-    """The incremental solver with the flat-array waterfill kernel.
-
-    Same event machinery, dirty-set tracking, and full-solve fallback
-    as the base class; only :meth:`_fill` is replaced -- it snapshots
-    the touched component into CSR arrays
-    (:func:`repro.fabric.kernel.build_snapshot`) and runs the
-    numpy-vectorized kernel (pure-Python twin when numpy is absent).
-    Both kernels implement the base class's canonical fill order, so
-    spliced rates are byte-identical to the interpreted engine --
-    asserted by :class:`SolverEquivalence`.
-    """
-
-    def _fill(self, flow_ids: FrozenSet[int]) -> int:
-        from .kernel import build_snapshot, waterfill
-
-        snap = build_snapshot(self.index, flow_ids)
-        kernel_rates, iterations = waterfill(snap, self.on_bottleneck)
-        rates = self.rates
-        for fid, rate in zip(snap.flow_ids, kernel_rates):
-            rates[fid] = rate
         return iterations
 
 
@@ -418,10 +391,8 @@ class SolverEquivalence:
 
         ``events`` are ``(time, link_id, up)`` link-state transitions.
         ``modes`` names the engines to compare -- the first is the
-        baseline; ``"sharded:process"`` selects the sharded engine over
-        the process-pool backend. Link states are restored and flows
-        reset between (and after) the runs, so callers keep reusable
-        inputs.
+        baseline. Link states are restored and flows reset between (and
+        after) the runs, so callers keep reusable inputs.
         """
         from .simulator import FluidSimulator
 
@@ -429,14 +400,8 @@ class SolverEquivalence:
         initial_up = {lid: link.up for lid, link in topo.links.items()}
 
         def one_run(mode: str) -> Dict[int, float]:
-            engine, _, backend = mode.partition(":")
-            kwargs: Dict[str, object] = {}
-            if engine == "sharded" and backend:
-                kwargs["shard_backend"] = backend
-                kwargs["shard_workers"] = 2
-            sim = FluidSimulator(topo, solver=engine,
-                                 full_solve_threshold=full_threshold,
-                                 **kwargs)  # type: ignore[arg-type]
+            sim = FluidSimulator(topo, solver=mode,
+                                 full_solve_threshold=full_threshold)
             sim.add_flows(flows)
             for t, lid, up in events:
                 sim.schedule(
@@ -480,86 +445,24 @@ class SolverEquivalence:
     # ------------------------------------------------------------------
     def run_random(self, cases: int = 50, seed: int = 0,
                    max_flows: int = 60,
-                   modes: Optional[Sequence[str]] = None,
+                   modes: Sequence[str] = ("full", "incremental"),
                    ) -> EquivalenceReport:
         """A seeded campaign of randomized topology/flow/failure cases.
 
-        ``modes`` defaults to every engine -- full (the oracle),
-        incremental, vectorized, and sharded -- and every fifth case
-        additionally runs the sharded engine over the process-pool
-        backend, so cross-process pickling of shard payloads is
-        exercised without paying pool startup on all 50 cases.
+        Each case runs every engine in ``modes`` through
+        :meth:`check_run` (the first is the baseline, by default the
+        full oracle), then drives the solver state machine through a
+        scripted subset of the same flows in :meth:`check_rates`.
         """
-        from ..routing import FiveTuple, shared_router
-        from ..topos import (
-            HpnSpec,
-            RailOnlySpec,
-            SingleTorSpec,
-            build_hpn,
-            build_railonly,
-            build_singletor,
-        )
-
         rng = random.Random(seed)
         report = EquivalenceReport()
         for case in range(cases):
-            shape = rng.random()
-            if shape < 0.55:
-                topo = build_hpn(HpnSpec(
-                    segments_per_pod=rng.choice([1, 2]),
-                    hosts_per_segment=rng.choice([4, 6, 8]),
-                    backup_hosts_per_segment=0,
-                    aggs_per_plane=rng.choice([2, 4]),
-                    agg_core_uplinks=0,
-                ))
-            elif shape < 0.75:
-                topo = build_railonly(RailOnlySpec(
-                    segments_per_pod=rng.choice([1, 2]),
-                    hosts_per_segment=rng.choice([4, 8]),
-                    aggs_per_plane=rng.choice([2, 4]),
-                ))
-            else:
-                topo = build_singletor(SingleTorSpec(
-                    segments=rng.choice([1, 2]),
-                    hosts_per_segment=rng.choice([4, 8]),
-                ))
-            router = shared_router(topo)
-            hosts = sorted(topo.hosts)
-            rails = [n.rail for n in topo.hosts[hosts[0]].backend_nics()]
-            flows: List[Flow] = []
-            n_flows = rng.randrange(8, max_flows)
-            requests = []
-            for i in range(n_flows):
-                src, dst = rng.sample(hosts, 2)
-                rail = rng.choice(rails) if rails else 0
-                a = topo.hosts[src].nic_for_rail(rail)
-                b = topo.hosts[dst].nic_for_rail(rail)
-                requests.append((a, b, FiveTuple(a.ip, b.ip, 49152 + i, 4791), None))
-            paths = router.route_many(requests, strict=False)
-            for (a, b, ft, _plane), path in zip(requests, paths):
-                if path is None:
-                    continue
-                f = Flow(ft, rng.uniform(1e6, 5e8), path,
-                         start_time=rng.choice([0.0, 0.0, rng.uniform(0, 0.01)]),
-                         tag=f"eqv{case}")
-                flows.append(f)
-            if len(flows) < 2:
+            built = random_case(rng, max_flows, tag=f"eqv{case}")
+            if built is None:
                 continue
-            events: List[Tuple[float, int, bool]] = []
-            if rng.random() < 0.6:
-                victim = rng.choice(flows)
-                lid = rng.choice(victim.path.dirlinks) // 2
-                t_down = rng.uniform(0.0001, 0.005)
-                events.append((t_down, lid, False))
-                events.append((t_down + rng.uniform(0.001, 0.01), lid, True))
-            case_modes = list(
-                modes if modes is not None
-                else ("full", "incremental", "vectorized", "sharded")
-            )
-            if modes is None and case % 5 == 0:
-                case_modes.append("sharded:process")
+            topo, flows, events = built
             self.check_run(topo, flows, events, report=report,
-                           label=f"case{case}", modes=case_modes)
+                           label=f"case{case}", modes=modes)
             # scripted solver-state check on a subset of the same flows
             sample = rng.sample(flows, min(len(flows), 12))
             script: List[Tuple[str, object]] = []
@@ -578,5 +481,76 @@ class SolverEquivalence:
                 report=report,
                 label=f"case{case}/rates",
             )
-            report.cases += 0  # check_run counted the case already
         return report
+
+
+def random_case(
+    rng: random.Random, max_flows: int = 60, tag: str = "eqv",
+) -> Optional[Tuple[object, List[Flow], List[Tuple[float, int, bool]]]]:
+    """One randomized ``(topology, flows, link_events)`` case.
+
+    HPN, rail-only, or single-ToR fabric; random same-rail flows routed
+    through the shared router; with probability 0.6 one link on some
+    flow's path fails and is repaired later. ``None`` when fewer than
+    two flows routed.
+    """
+    from ..routing import FiveTuple, shared_router
+    from ..topos import (
+        HpnSpec,
+        RailOnlySpec,
+        SingleTorSpec,
+        build_hpn,
+        build_railonly,
+        build_singletor,
+    )
+
+    shape = rng.random()
+    if shape < 0.55:
+        topo = build_hpn(HpnSpec(
+            segments_per_pod=rng.choice([1, 2]),
+            hosts_per_segment=rng.choice([4, 6, 8]),
+            backup_hosts_per_segment=0,
+            aggs_per_plane=rng.choice([2, 4]),
+            agg_core_uplinks=0,
+        ))
+    elif shape < 0.75:
+        topo = build_railonly(RailOnlySpec(
+            segments_per_pod=rng.choice([1, 2]),
+            hosts_per_segment=rng.choice([4, 8]),
+            aggs_per_plane=rng.choice([2, 4]),
+        ))
+    else:
+        topo = build_singletor(SingleTorSpec(
+            segments=rng.choice([1, 2]),
+            hosts_per_segment=rng.choice([4, 8]),
+        ))
+    router = shared_router(topo)
+    hosts = sorted(topo.hosts)
+    rails = [n.rail for n in topo.hosts[hosts[0]].backend_nics()]
+    flows: List[Flow] = []
+    n_flows = rng.randrange(8, max_flows)
+    requests = []
+    for i in range(n_flows):
+        src, dst = rng.sample(hosts, 2)
+        rail = rng.choice(rails) if rails else 0
+        a = topo.hosts[src].nic_for_rail(rail)
+        b = topo.hosts[dst].nic_for_rail(rail)
+        requests.append((a, b, FiveTuple(a.ip, b.ip, 49152 + i, 4791), None))
+    paths = router.route_many(requests, strict=False)
+    for (a, b, ft, _plane), path in zip(requests, paths):
+        if path is None:
+            continue
+        f = Flow(ft, rng.uniform(1e6, 5e8), path,
+                 start_time=rng.choice([0.0, 0.0, rng.uniform(0, 0.01)]),
+                 tag=tag)
+        flows.append(f)
+    if len(flows) < 2:
+        return None
+    events: List[Tuple[float, int, bool]] = []
+    if rng.random() < 0.6:
+        victim = rng.choice(flows)
+        lid = rng.choice(victim.path.dirlinks) // 2
+        t_down = rng.uniform(0.0001, 0.005)
+        events.append((t_down, lid, False))
+        events.append((t_down + rng.uniform(0.001, 0.01), lid, True))
+    return topo, flows, events

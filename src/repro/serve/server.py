@@ -32,6 +32,10 @@ from .state import ServeState
 _MAX_BODY = 8 * 1024 * 1024
 
 
+class _BadRequest(Exception):
+    """The request head cannot be framed; answer 400 and close."""
+
+
 class ServeDaemon:
     """Async HTTP server over a resident :class:`ServeState`."""
 
@@ -118,7 +122,17 @@ class ServeDaemon:
         self._writers.add(writer)
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _BadRequest as err:
+                    status, payload, content_type = _json(
+                        400, {"ok": False, "error": str(err)}
+                    )
+                    _write_response(
+                        writer, status, payload, content_type, False
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -257,7 +271,11 @@ async def _read_request(
         if ":" in text:
             key, _, value = text.partition(":")
             headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        raise _BadRequest(f"invalid Content-Length {raw_length!r}")
     if length < 0 or length > _MAX_BODY:
         return None
     body = await reader.readexactly(length) if length else b""

@@ -455,11 +455,7 @@ ALLOWED_IMPORTS: Dict[str, Set[str]] = {
     "access": {"core", "obs", "topos", "routing"},
     "routing": {"core", "obs", "topos", "access", "staticcheck"},
     "telemetry": {"core", "obs", "topos", "routing"},
-    # fabric -> engine: the sharded solver dispatches component shards
-    # through the Runner process pool (runner/spec only; experiment
-    # bodies in engine.builtin call back *into* fabric lazily, which
-    # keeps the module graph acyclic at import time)
-    "fabric": {"core", "obs", "topos", "routing", "cluster", "engine"},
+    "fabric": {"core", "obs", "topos", "routing", "cluster"},
     "collective": {"core", "obs", "topos", "routing", "fabric"},
     "training": {"core", "obs", "topos", "routing", "fabric", "collective"},
     "workloads": {"core", "obs", "topos", "routing", "fabric", "collective",
@@ -616,8 +612,7 @@ def rule_recorder_guard(ctx: SemContext) -> None:
 # ----------------------------------------------------------------------
 #: flat vectors keyed by *dense* ids in fabric.incidence / fabric.solver
 FLAT_FIELDS = frozenset({"cap", "weight", "dirlinks", "link_flows"})
-_SOLVER_MODULES = frozenset({"fabric.incidence", "fabric.solver",
-                             "fabric.kernel", "fabric.sharded"})
+_SOLVER_MODULES = frozenset({"fabric.incidence", "fabric.solver"})
 #: index names that smell like *raw* (sparse) dirlink ids
 _RAWISH = re.compile(r"(^|_)(raw|dirlink|dl)(_|$)")
 #: parameter names trusted to carry dense ids by convention

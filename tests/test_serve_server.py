@@ -9,6 +9,7 @@ mapping, and graceful shutdown.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -138,6 +139,32 @@ class TestEndpoints:
         res = client.query({"kind": "path", "src_host": "ghost",
                             "dst_host": "ghost2"})
         assert res["ok"] is False and "unknown host" in res["error"]
+
+    def test_bad_content_length_gets_400(self, daemon):
+        """A non-integer Content-Length is answered, not dropped."""
+        import socket
+
+        with socket.create_connection(
+            ("127.0.0.1", daemon.daemon.port), timeout=10.0
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: abc\r\n\r\n"
+            )
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"Content-Length" in json.loads(body)["error"].encode()
+        # the daemon keeps serving other connections
+        with ServeClient("127.0.0.1", daemon.daemon.port,
+                         timeout=10.0) as c:
+            assert c.healthz()["ok"] is True
 
     def test_unknown_route_is_404(self, daemon, client):
         status, body = client._request("GET", "/nope", None)

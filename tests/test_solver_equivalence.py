@@ -1,19 +1,22 @@
-"""Differential testing: every solver engine vs the full-solve oracle.
+"""Differential testing: the incremental engine vs the full-solve oracle.
 
 The legacy :func:`~repro.fabric.max_min_rates` is kept precisely so
-the incremental-family engines can be checked against it --
-:class:`~repro.fabric.SolverEquivalence` drives all four (full,
-incremental, vectorized, sharded -- including the process-pool shard
-backend on every fifth case) through scripted event sequences and a
-seeded randomized campaign (HPN, rail-only, and single-ToR topologies,
-flow sets, failure scripts), asserting agreement to 1e-9 against the
-oracle and *byte-identical* finishes within the incremental family.
+the incremental engine can be checked against it --
+:class:`~repro.fabric.SolverEquivalence` drives both through scripted
+event sequences and a seeded randomized campaign (HPN, rail-only, and
+single-ToR topologies, flow sets, failure scripts), asserting agreement
+to 1e-9. On the same random cases the engine's heap fill must give
+*byte-identical* finishes to the list-scan reference fill.
 """
+
+import random
 
 import pytest
 
 from repro.core.units import GB, MB
-from repro.fabric import Flow, SolverEquivalence
+from repro.fabric import Flow, FluidSimulator, SolverEquivalence
+from repro.fabric.simbench import use_list_scan
+from repro.fabric.solver import random_case
 from repro.routing import FiveTuple
 
 
@@ -85,14 +88,32 @@ class TestRandomizedCampaign:
         assert report.max_finish_err <= 1e-9
 
     def test_incremental_family_byte_identical(self):
-        """serial / vectorized / process-sharded: exact same finishes."""
-        report = SolverEquivalence().run_random(
-            cases=8, seed=77,
-            modes=("incremental", "vectorized", "sharded",
-                   "sharded:process"),
-        )
-        assert report.ok, report.failures[:5]
-        assert report.max_finish_err == 0.0
+        """heap fill vs list-scan reference fill: exact same finishes."""
+        rng = random.Random(77)
+        compared = 0
+        for case in range(8):
+            built = random_case(rng, tag=f"byte{case}")
+            if built is None:
+                continue
+            topo, flows, events = built
+            finishes = []
+            for list_scan in (False, True):
+                for f in flows:
+                    f.reset()
+                sim = FluidSimulator(topo)
+                if list_scan:
+                    use_list_scan(sim)
+                sim.add_flows(flows)
+                for t, lid, up in events:
+                    sim.schedule(
+                        t, lambda s, l=lid, u=up: s.topo.set_link_state(l, u)
+                    )
+                finishes.append(sim.run().flow_finish)
+                for _t, lid, _up in events:
+                    topo.set_link_state(lid, True)
+            assert finishes[0] == finishes[1]
+            compared += len(finishes[0])
+        assert compared > 100
 
     def test_campaign_is_deterministic(self):
         a = SolverEquivalence().run_random(cases=5, seed=7)

@@ -6,10 +6,18 @@ Covers the pieces the rewrite added -- the persistent
 (noop / incremental / full-fallback modes), the simulator's
 completion-heap event loop and batched arrivals -- plus regression
 tests for the satellite fixes (``until`` with stalled flows, the
-``flow.start`` emit-once guard, the oracle's dead-link pass).
+``flow.start`` emit-once guard, the oracle's dead-link pass), and the
+heap-driven fill checked byte-for-byte against the list-scan reference
+fill and to 1e-9 against the oracle.
 """
 
+import os
+import subprocess
+import sys
+from types import MethodType
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.units import GB, MB
 from repro.fabric import (
@@ -20,8 +28,11 @@ from repro.fabric import (
     max_min_rates,
     run_flows,
 )
+from repro.fabric import solver as solver_mod
+from repro.fabric.simbench import list_scan_fill
 from repro.obs import Recorder
 from repro.routing import FiveTuple, Router
+from repro.routing.path import FlowPath
 
 
 def _edge_flow(topo, router, src, dst, rail, size, sport=50000, plane=0,
@@ -38,6 +49,18 @@ def _cap_of(topo):
         link = topo.links[dl // 2]
         return link.gbps if link.up else 0.0
     return link_gbps
+
+
+def _mesh_flows(topo, router, n=10):
+    """Cross-segment flows sharing access links -> coupled components."""
+    return [
+        _edge_flow(
+            topo, router,
+            f"pod0/seg0/host{i % 4}", f"pod0/seg1/host{(i + 1) % 4}",
+            i % 2, (i + 1) * 200 * MB, sport=50000 + i,
+        )
+        for i in range(n)
+    ]
 
 
 # ======================================================================
@@ -217,6 +240,33 @@ class TestIncrementalSolver:
         with pytest.raises(ValueError):
             IncrementalMaxMinSolver(_cap_of(hpn_small), full_threshold=1.5)
 
+    def test_mean_dirty_frac_accounting(self, hpn_small, hpn_router):
+        """One active_flow_boundaries bump per non-noop solve, summing
+        |active| at that boundary; resolved_flows sums |touched|."""
+        solver = IncrementalMaxMinSolver(_cap_of(hpn_small))
+        for f in _mesh_flows(hpn_small, hpn_router, 12):
+            solver.activate(f)
+        boundaries = resolved = 0
+        live = sorted(solver.index.flows)
+        for finished in ([], live[:3], live[3:5], []):
+            for fid in finished:
+                solver.finish(solver.index.flows[fid])
+            n_active = len(solver.index.flows)
+            outcome = solver.solve()
+            if outcome.mode != "noop":
+                boundaries += n_active
+                resolved += len(outcome.touched)
+                assert outcome.dirty_frac == (
+                    1.0 if outcome.mode == "full"
+                    else len(outcome.touched) / n_active
+                )
+        stats = solver.stats
+        assert stats.noop_solves == 1
+        assert stats.active_flow_boundaries == boundaries
+        assert stats.resolved_flows == resolved
+        assert stats.mean_dirty_frac == resolved / boundaries
+        assert 0.0 < stats.mean_dirty_frac <= 1.0
+
 
 # ======================================================================
 class TestIncrementalEngineLoop:
@@ -301,6 +351,19 @@ class TestIncrementalEngineLoop:
     def test_solver_mode_validated(self, hpn_small):
         with pytest.raises(ValueError):
             FluidSimulator(hpn_small, solver="quantum")
+        for gone in ("vectorized", "sharded"):
+            with pytest.raises(ValueError):
+                FluidSimulator(hpn_small, solver=gone)
+
+    def test_kernel_iters_series(self, hpn_small, hpn_router):
+        """sim.kernel_iters counts every fill iteration of the run."""
+        rec = Recorder()
+        sim = FluidSimulator(hpn_small, recorder=rec)
+        sim.add_flows(_mesh_flows(hpn_small, hpn_router, 8))
+        sim.run()
+        iters = rec.metrics.counter("sim.kernel_iters").value
+        assert iters > 0
+        assert iters == sim._solver.stats.kernel_iters
 
     def test_obs_counters_report_engine_mix(self, hpn_small, hpn_router):
         flows = [
@@ -425,3 +488,223 @@ class TestSatelliteRegressions:
             oracle[bystander.flow_id])
         for lid in dead:
             hpn_mutable.set_link_state(lid, True)
+
+
+# ======================================================================
+# heap fill vs the list-scan reference fill and the oracle
+# ======================================================================
+#: hand-built corner cases, ``name -> (capacity per raw dirlink,
+#: paths)``. Dense ids follow first sight, so raw ids that run against
+#: dense order make the dense-id tie break visible.
+SCENARIOS = {
+    # equal shares (5.0) on raw 9 (dense 0) and raw 4 (dense 1)
+    "tie": ({9: 10.0, 4: 10.0}, [[9], [9], [4], [4]]),
+    # raw 20 (share 25) fixes one of raw 21's four flows: 75/3 == 100/4,
+    # so raw 21 is pushed again under the key it already holds
+    "duplicate": ({20: 25.0, 21: 100.0}, [[20, 21], [21], [21], [21]]),
+    # raw 30 fixes three flows at 4e-13; raw 31 drops to 6e-13 <= eps
+    # with one flow unfixed, which is zeroed; that flow keeps raw 32's
+    # unfixed count up with no unfixed flow left -> liveness guard
+    "exhausted": ({30: 1.2e-12, 31: 1.8e-12, 32: 10.0},
+                  [[30, 31], [30, 31], [30, 31], [31, 32]]),
+    # raw 40 is down: its flows are zeroed up front, debited off raw 41
+    "dead": ({40: 0.0, 41: 10.0}, [[40, 41], [41], [40]]),
+    # a path crossing raw 50 twice: occurrence count 2
+    "multiplicity": ({50: 10.0, 51: 10.0}, [[50, 51, 50], [51], [50]]),
+}
+#: capacities that make ties, duplicate keys, exhaustion and dead links
+#: likely in random draws too
+_CAPS = (0.0, 1.2e-12, 1.8e-12, 5.0, 10.0, 25.0, 100.0)
+
+
+def _synthetic(paths):
+    return [
+        Flow(FiveTuple("10.0.0.1", "10.0.0.2", 50000 + i, 4791), GB,
+             FlowPath(nodes=["src", "dst"], dirlinks=list(path)))
+        for i, path in enumerate(paths)
+    ]
+
+
+class _OracleSpins(Exception):
+    pass
+
+
+def _oracle(flows, link_gbps):
+    """max_min_rates, or None where it has no trustworthy answer.
+
+    * It has no liveness guard: a bottleneck with no flow left to fix
+      repeats forever.
+    * It lists a flow once per occurrence on a link, so a flow that
+      crosses its bottleneck link twice is fixed and debited twice.
+    """
+    if any(len(set(f.path.dirlinks)) < len(f.path.dirlinks)
+           for f in flows):
+        return None
+
+    def guard(_dl, _share, n):
+        if n == 0:
+            raise _OracleSpins
+
+    try:
+        return max_min_rates(flows, link_gbps, guard)
+    except _OracleSpins:
+        return None
+
+
+def _drive(caps, flows, steps, list_scan=False):
+    """Activate ``flows``, solve, then apply ``steps`` with a solve
+    after each. Returns one ``(rates, kernel_iters, bottleneck calls)``
+    per solve, floats as hex so equality is bit-for-bit, plus the live
+    flow set each solve saw."""
+    caps = dict(caps)
+    calls = []
+    solver = IncrementalMaxMinSolver(
+        lambda dl: caps[dl],
+        on_bottleneck=lambda dl, share, n: calls.append(
+            (dl, share.hex(), n)),
+    )
+    if list_scan:
+        solver._fill = MethodType(list_scan_fill, solver)
+    for f in flows:
+        solver.activate(f)
+    seen = []
+
+    def solve():
+        del calls[:]
+        outcome = solver.solve()
+        rates = {fid: r.hex() for fid, r in sorted(solver.rates.items())}
+        seen.append((rates, outcome.kernel_iters, list(calls)))
+        live.append((list(solver.index.flows.values()), dict(caps)))
+
+    live = []
+    solve()
+    for step in steps:
+        if step[0] == "finish":
+            active = sorted(solver.index.flows)
+            if not active:
+                continue
+            solver.finish(solver.index.flows[active[step[1] % len(active)]])
+        else:
+            caps[step[1]] = step[2]
+        solve()
+    return seen, live
+
+
+@st.composite
+def _fill_cases(draw):
+    caps = {}
+    paths = []
+    names = draw(st.lists(st.sampled_from(sorted(SCENARIOS)), max_size=3))
+    for k, name in enumerate(names):
+        # each scenario copy gets its own raw id range
+        off = 100 * (k + 1)
+        case_caps, case_paths = SCENARIOS[name]
+        caps.update({off + dl: c for dl, c in case_caps.items()})
+        paths.extend([off + dl for dl in p] for p in case_paths)
+    # random links: raw ids drawn out of order, shared with scenarios
+    rand = draw(st.lists(st.integers(1000, 1020), min_size=1, max_size=6,
+                         unique=True))
+    for dl in rand:
+        caps[dl] = draw(st.sampled_from(_CAPS))
+    pool = sorted(caps)
+    # random paths visit a link at most once; repeats come from the
+    # "multiplicity" scenario, where the oracle cannot be checked
+    for _ in range(draw(st.integers(0 if paths else 1, 8))):
+        paths.append(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=4, unique=True)))
+    paths = draw(st.permutations(paths))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("finish"), st.integers(0, 63)),
+        st.tuples(st.just("cap"), st.sampled_from(pool),
+                  st.sampled_from(_CAPS)),
+    ), max_size=4))
+    return caps, paths, steps
+
+
+class TestHeapFill:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_fill_cases())
+    def test_matches_list_scan_and_oracle(self, case):
+        caps, paths, steps = case
+        flows = _synthetic(paths)
+        heap, live = _drive(caps, flows, steps)
+        ref, _ = _drive(caps, flows, steps, list_scan=True)
+        # rates, iteration counts and the on_bottleneck call sequence
+        assert heap == ref
+        for (rates, _iters, _calls), (flows_now, caps_now) in zip(
+            heap, live
+        ):
+            oracle = _oracle(flows_now, caps_now.__getitem__)
+            if oracle is None:
+                continue
+            for f in flows_now:
+                rate = float.fromhex(rates[f.flow_id])
+                assert abs(rate - oracle[f.flow_id]) <= 1e-9
+
+    def _run(self, name):
+        caps, paths = SCENARIOS[name]
+        flows = _synthetic(paths)
+        [(rates, iters, calls)], _ = _drive(caps, flows, ())
+        rates = {i: float.fromhex(rates[f.flow_id])
+                 for i, f in enumerate(flows)}
+        calls = [(dl, float.fromhex(share), n) for dl, share, n in calls]
+        return rates, iters, calls
+
+    def test_tie_breaks_to_smallest_dense_id(self):
+        rates, iters, calls = self._run("tie")
+        assert calls == [(9, 5.0, 2), (4, 5.0, 2)]
+        assert rates == {0: 5.0, 1: 5.0, 2: 5.0, 3: 5.0}
+
+    def test_duplicate_entry_counts_once(self, monkeypatch):
+        pushed = []
+        push = solver_mod.heappush
+
+        def recording_push(heap, item):
+            pushed.append(item)
+            push(heap, item)
+
+        monkeypatch.setattr(solver_mod, "heappush", recording_push)
+        rates, iters, calls = self._run("duplicate")
+        # raw 21 (dense 1) re-pushed under its initial key 100/4
+        assert (100.0 / 4, 1) in pushed
+        assert calls == [(20, 25.0, 1), (21, 25.0, 3)]
+        assert iters == 2  # the stale twin is skipped, not counted
+        assert set(rates.values()) == {25.0}
+
+    def test_exhausted_link_zeroes_then_liveness_guard(self):
+        rates, iters, calls = self._run("exhausted")
+        share = 1.2e-12 / 3
+        assert calls == [(30, share, 3), (32, 10.0, 0)]
+        assert iters == 2
+        assert rates == {0: share, 1: share, 2: share, 3: 0.0}
+
+    def test_dead_link_flows_zeroed_and_debited(self):
+        rates, iters, calls = self._run("dead")
+        assert calls == [(41, 10.0, 1)]
+        assert rates == {0: 0.0, 1: 10.0, 2: 0.0}
+
+    def test_multiplicity_debits_each_occurrence(self):
+        rates, iters, calls = self._run("multiplicity")
+        assert calls[0] == (50, 10.0 / 3, 2)
+        assert rates[0] == rates[2] == 10.0 / 3
+        assert rates[1] == 10.0 - 10.0 / 3
+
+
+def test_stack_never_imports_numpy():
+    """The solver, the daemon and the CLI import no numpy, and the
+    equivalence campaign runs in that process."""
+    code = (
+        "import sys\n"
+        "import repro.cli, repro.serve\n"
+        "from repro.fabric import SolverEquivalence\n"
+        "r = SolverEquivalence().run_random(cases=3, seed=11)\n"
+        "assert r.ok, r.failures[:3]\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
